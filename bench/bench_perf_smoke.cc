@@ -11,11 +11,6 @@
  *
  * Usage: bench_perf_smoke [--jobs N] [--out PATH] [--guard BASELINE]
  *
- * A lane-batched single-thread pass (--lanes equal to the config
- * count, so each workload's whole basket shares one machine) is also
- * timed and checked bit-identical, and its serial/lanes wall ratio is
- * written as "lanes_speedup".
- *
  * The static analyzer (one interpreter profile per workload, then
  * predictPerformance per point — exactly the scoring work --prune
  * does) is also timed over the 66-point basket, min-of-3, and written
@@ -31,10 +26,7 @@
  *
  * With --guard, the measured total firings_per_sec is compared
  * against the committed BASELINE json; more than 25% slower fails
- * (exit 1). Three further gates run:
- *  - lanes_speedup >= 0.85: lane batching must stay at parity with
- *    the scalar path (same-process min-of-3 wall ratio, so it is
- *    meaningful on any host);
+ * (exit 1). Further gates run:
  *  - no point whose serial wall is >= 1ms may take more than 3x its
  *    serial wall in the largest parallel pass the host can physically
  *    run (jobs <= cpus; per-point timing-artifact gate — store
@@ -215,8 +207,8 @@ main(int argc, char **argv)
     // Static-analyzer throughput: one interpreter profile per
     // workload plus predictPerformance for every point — exactly the
     // scoring work a --prune sweep does before simulating. Min-of-3
-    // walls, same noise-damping policy as the lanes parity gate. The
-    // checksum keeps the optimizer from eliding the passes.
+    // walls: the minimum is the least-preempted run, which damps host
+    // noise. The checksum keeps the optimizer from eliding the passes.
     double analyzer_seconds = 0.0;
     double analyzer_checksum = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
@@ -319,33 +311,6 @@ main(int argc, char **argv)
         spec.config.stallAttribution = true;
     SweepResult attr_serial = runSweep(serial_runner, aspecs);
 
-    // Lane-batched single-thread pass: each workload's 11 configs run
-    // as lanes of one machine sharing dispatch tables (--lanes in the
-    // sweep harness). Same untimed warmup as the serial pass, then
-    // one timed run; lanes_speedup below is a same-process
-    // serial/lanes wall ratio, so the gate on it is meaningful on any
-    // host, unlike harness_speedup.
-    SweepOptions lane_opts{1};
-    lane_opts.lanes = static_cast<int>(std::size(kConfigs));
-    SweepRunner lane_runner(lane_opts);
-    runSweep(lane_runner, rspecs);
-    SweepResult laned = runSweep(lane_runner, rspecs);
-
-    // Noise damping for the parity gate: a single wall measurement on
-    // a busy host swings +-10% or more from preemption, enough to
-    // trip any honest parity floor. The gated ratio uses min-of-3
-    // alternating walls — the minimum is the least-preempted run of
-    // each engine, and alternating keeps thermal/frequency drift from
-    // favoring one side.
-    double serial_best = serial.wallSeconds;
-    double laned_best = laned.wallSeconds;
-    for (int rep = 0; rep < 2; ++rep) {
-        serial_best = std::min(
-            serial_best, runSweep(serial_runner, rspecs).wallSeconds);
-        laned_best = std::min(
-            laned_best, runSweep(lane_runner, rspecs).wallSeconds);
-    }
-
     bool identical = true;
     for (std::size_t i = 0; i < serial.points.size(); ++i) {
         for (const SweepResult &sw : scaled) {
@@ -358,11 +323,6 @@ main(int argc, char **argv)
         if (!sameStats(serial.points[i].run, attr_serial.points[i].run)) {
             identical = false;
             warn("attribution on vs off stats mismatch at ",
-                 serial.points[i].label);
-        }
-        if (!sameStats(serial.points[i].run, laned.points[i].run)) {
-            identical = false;
-            warn("scalar vs lane-batched stats mismatch at ",
                  serial.points[i].label);
         }
     }
@@ -381,8 +341,6 @@ main(int argc, char **argv)
                    ? serial.wallSeconds / sw.wallSeconds
                    : 1.0;
     };
-    const double lanes_speedup =
-        laned_best > 0.0 ? serial_best / laned_best : 1.0;
     const unsigned host_cpus =
         std::max(1u, std::thread::hardware_concurrency());
 
@@ -423,12 +381,9 @@ main(int argc, char **argv)
         "\"parallel_wall_seconds\": %.6f, \"parallel_jobs\": %d, "
         "\"harness_speedup\": %.3f, "
         "\"attr_serial_wall_seconds\": %.6f, "
-        "\"lanes\": %d, \"lanes_wall_seconds\": %.6f, "
-        "\"lanes_speedup\": %.3f, "
         "\"stats_identical\": %s},\n",
         serial.points.size(), serial.wallSeconds, parallel.wallSeconds,
         parallel.jobs, speedupOf(parallel), attr_serial.wallSeconds,
-        lane_opts.lanes, laned.wallSeconds, lanes_speedup,
         identical ? "true" : "false");
 
     // The scaling curve: wall seconds and speedup per job count.
@@ -526,9 +481,7 @@ main(int argc, char **argv)
     for (const SweepResult &sw : scaled)
         std::printf(" jobs=%d %.3fs (%.2fx)", sw.jobs, sw.wallSeconds,
                     speedupOf(sw));
-    std::printf("; lanes=%d %.3fs (%.2fx); attribution-on serial "
-                "%.3fs, stats identical: %s\n",
-                lane_opts.lanes, laned.wallSeconds, lanes_speedup,
+    std::printf("; attribution-on serial %.3fs, stats identical: %s\n",
                 attr_serial.wallSeconds, identical ? "yes" : "NO");
     std::printf("analyzer: %zu points in %.4fs (%.0f points/s)\n",
                 rspecs.size(), analyzer_seconds,
@@ -635,30 +588,6 @@ main(int argc, char **argv)
                  kPortfolioChains, "-chain basket cost ",
                  placer_portfolio_cost, " exceeds single-seed ",
                  placer_single_cost);
-            return 1;
-        }
-
-        // Lane-batching gate: running each workload's config basket
-        // as lanes of one machine must never cost materially more
-        // than running the same points scalar. Both sides are
-        // measured single-threaded in this process, so the ratio is
-        // host-independent and the gate runs even where
-        // harness_speedup below is skipped. The floor is parity with
-        // margin, not the 2x amortization target: lanes are required
-        // to be byte-identical to the scalar machine lane-for-lane,
-        // which pins each lane's visit order, firing order, and
-        // memory-access order to the scalar schedule and so forbids
-        // every cross-lane batching trick that could beat scalar
-        // per-lane work (see DESIGN.md "Batched lane Machine"). What
-        // the gate protects against is batching pathologies like the
-        // cross-lane lockstep stepping that measured 0.62x.
-        std::printf("perf guard: lanes_speedup %.2fx at lanes=%d "
-                    "(floor 0.85x)\n",
-                    lanes_speedup, lane_opts.lanes);
-        if (lanes_speedup < 0.85) {
-            warn("perf guard: lane-batched sweep regression: ",
-                 lanes_speedup, "x vs scalar serial (floor 0.85x; set "
-                 "NUPEA_PERF_GUARD_SKIP=1 on incomparable machines)");
             return 1;
         }
 

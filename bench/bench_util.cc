@@ -8,7 +8,6 @@
 #include "analysis/hazards.h"
 #include "common/log.h"
 #include "compiler/report.h"
-#include "sim/machine_lanes.h"
 #include "verify/verify.h"
 
 namespace nupea
@@ -66,51 +65,6 @@ reportPerfHazards(const CompiledWorkload &cw)
                  ? formatMessage(" node ", d.node, ": ")
                  : std::string(": "),
              d.message);
-}
-
-/** Check the image fits `store` and reset it to a fresh clone. */
-void
-resetStoreToImage(const CompiledWorkload &cw, BackingStore &store)
-{
-    NUPEA_ASSERT(cw.image.size() > 0,
-                 cw.workload->name(), ": run before compileWorkload");
-    NUPEA_ASSERT(cw.image.allocated() <= store.size(),
-                 cw.workload->name(), ": image needs ",
-                 cw.image.allocated(), " bytes, config grants ",
-                 store.size());
-    store.resetTo(cw.image);
-}
-
-/** The shared run -> BenchRun export: verdict gate, host-reference
- *  verify, stat extraction. Used verbatim by the scalar and the
- *  batched-lane paths so their BenchRuns cannot drift apart. */
-BenchRun
-exportRun(const CompiledWorkload &cw, RunResult &&r,
-          const BackingStore &store)
-{
-    if (!r.finished)
-        fatal(cw.workload->name(), ": watchdog expired");
-    if (!r.clean)
-        fatal(cw.workload->name(), ": unclean termination: ", r.problem);
-
-    BenchRun out;
-    out.fabricCycles = r.fabricCycles;
-    out.systemCycles = r.systemCycles;
-    out.loads = r.loads;
-    out.stores = r.stores;
-    out.firings = r.firings;
-    std::string why;
-    out.verified = cw.workload->verify(store, &why);
-    if (!out.verified)
-        warn(cw.workload->name(), ": output mismatch: ", why);
-    auto it = r.stats.dists().find("fmnoc.latency_total");
-    if (it != r.stats.dists().end())
-        out.avgMemLatency = it->second.mean();
-    out.energy = r.energy;
-    out.stats = std::move(r.stats);
-    out.nodeStalls = std::move(r.nodeStalls);
-    out.nodeMemLatency = std::move(r.nodeMemLatency);
-    return out;
 }
 
 } // namespace
@@ -195,34 +149,38 @@ runCompiled(const CompiledWorkload &cw, MachineConfig config,
     // shared CompiledWorkload may be running on several threads. The
     // store may be recycled from a previous point; resetTo scrubs
     // exactly the span storeWord() dirtied.
-    resetStoreToImage(cw, store);
+    NUPEA_ASSERT(cw.image.size() > 0,
+                 cw.workload->name(), ": run before compileWorkload");
+    NUPEA_ASSERT(cw.image.allocated() <= store.size(),
+                 cw.workload->name(), ": image needs ",
+                 cw.image.allocated(), " bytes, config grants ",
+                 store.size());
+    store.resetTo(cw.image);
 
     Machine machine(cw.graph, cw.pnr.placement, cw.topo, config, store);
-    return exportRun(cw, machine.run(), store);
-}
+    RunResult r = machine.run();
+    if (!r.finished)
+        fatal(cw.workload->name(), ": watchdog expired");
+    if (!r.clean)
+        fatal(cw.workload->name(), ": unclean termination: ", r.problem);
 
-std::vector<BenchRun>
-runCompiledLanes(const CompiledWorkload &cw,
-                 const std::vector<MachineConfig> &configs,
-                 const std::vector<BackingStore *> &stores)
-{
-    NUPEA_ASSERT(configs.size() == stores.size(),
-                 cw.workload->name(), ": ", configs.size(),
-                 " lane configs but ", stores.size(), " stores");
-    std::vector<LaneSpec> specs;
-    specs.reserve(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        resetStoreToImage(cw, *stores[i]);
-        specs.push_back(LaneSpec{configs[i], stores[i]});
-    }
-
-    LaneMachine machine(cw.graph, cw.pnr.placement, cw.topo, specs);
-    std::vector<RunResult> results = machine.run();
-
-    std::vector<BenchRun> out;
-    out.reserve(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i)
-        out.push_back(exportRun(cw, std::move(results[i]), *stores[i]));
+    BenchRun out;
+    out.fabricCycles = r.fabricCycles;
+    out.systemCycles = r.systemCycles;
+    out.loads = r.loads;
+    out.stores = r.stores;
+    out.firings = r.firings;
+    std::string why;
+    out.verified = cw.workload->verify(store, &why);
+    if (!out.verified)
+        warn(cw.workload->name(), ": output mismatch: ", why);
+    auto it = r.stats.dists().find("fmnoc.latency_total");
+    if (it != r.stats.dists().end())
+        out.avgMemLatency = it->second.mean();
+    out.energy = r.energy;
+    out.stats = std::move(r.stats);
+    out.nodeStalls = std::move(r.nodeStalls);
+    out.nodeMemLatency = std::move(r.nodeMemLatency);
     return out;
 }
 

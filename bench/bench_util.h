@@ -126,64 +126,15 @@ BenchRun runCompiled(const CompiledWorkload &cw,
 
 /**
  * Same, but on a caller-provided store (recycled across points by
- * the sweep runner's per-worker arenas): the store is resetTo() the
- * compiled image first, which restores an exact fresh-clone state as
- * long as every write since the last reset went through storeWord()
- * — true of the Machine, whose only store writes are MemorySystem
- * word stores. Simulated results are bit-identical to the fresh-
- * store overload (enforced by test_golden_stats).
+ * the sweep runner's per-worker RecycledStore): the store is
+ * resetTo() the compiled image first, which restores an exact
+ * fresh-clone state as long as every write since the last reset went
+ * through storeWord() — true of the Machine, whose only store writes
+ * are MemorySystem word stores. Simulated results are bit-identical
+ * to the fresh-store overload (enforced by test_golden_stats).
  */
 BenchRun runCompiled(const CompiledWorkload &cw, MachineConfig config,
                      BackingStore &store);
-
-/**
- * Run a batch of machine configurations over one compiled workload in
- * a single LaneMachine (see sim/machine_lanes.h): the dispatch tables
- * are built once and every lane steps in lockstep, with per-lane
- * results bit-identical to running each config through runCompiled.
- * `configs` must be mutually batchable (LaneMachine::batchable);
- * `stores` supplies one caller-owned store per config, each resetTo()
- * the compiled image first, exactly like the recycled-store
- * runCompiled overload. fatal() on any lane's watchdog expiry or
- * unclean termination.
- */
-std::vector<BenchRun>
-runCompiledLanes(const CompiledWorkload &cw,
-                 const std::vector<MachineConfig> &configs,
-                 const std::vector<BackingStore *> &stores);
-
-/**
- * A worker-private reusable store bank (memory/backing_store.h).
- * acquire() allocates (and pre-faults the image span of) a store on
- * first use or on a capacity change; afterwards the same mapping is
- * recycled, so a sweep pays one mmap per worker-lane instead of one
- * mmap/munmap per point — the kernel-side churn that made the jobs=8
- * sweep slower than serial on tiny points. Scalar points use lane 0;
- * batched points take one lane per machine configuration.
- */
-class StoreArena
-{
-  public:
-    /** A store of exactly `bytes` capacity, pages for the first
-     *  `prefaultBytes` already faulted in. Contents unspecified;
-     *  callers reset it per run (see runCompiled above). */
-    BackingStore &
-    acquire(std::size_t bytes, std::size_t prefaultBytes)
-    {
-        return bank_.acquire(0, bytes, prefaultBytes);
-    }
-
-    /** Same, for lane `lane` of a batched point. */
-    BackingStore &
-    acquireLane(std::size_t lane, std::size_t bytes,
-                std::size_t prefaultBytes)
-    {
-        return bank_.acquire(lane, bytes, prefaultBytes);
-    }
-
-  private:
-    StoreBank bank_;
-};
 
 /**
  * Print a stall-attribution table for one run (requires the run to

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/byte_buffer.h"
 #include "common/log.h"
@@ -138,53 +137,43 @@ class BackingStore
 };
 
 /**
- * A bank of recyclable BackingStores, one per lane of a batched (or
- * repeated) run over a shared read-only image. Each lane's store is
- * allocated (and its image span pre-faulted) on first acquire or on a
- * capacity change, then recycled: callers resetTo() it from the
- * shared image per run, so a lane pays O(bytes touched) per point
- * instead of an mmap/munmap pair — the kernel-side churn that
- * serializes concurrent sweep workers. A bank with only lane 0 in use
- * degenerates to the single recyclable store the scalar path uses.
+ * One recyclable BackingStore for repeated runs over a shared
+ * read-only image. acquire() allocates the store (and pre-faults the
+ * image span) on first use or on a capacity change, then recycles
+ * it: callers resetTo() it from the image per run, so a run pays
+ * O(bytes touched) instead of an mmap/munmap pair — the kernel-side
+ * churn that serializes concurrent sweep workers.
  */
-class StoreBank
+class RecycledStore
 {
   public:
     /**
-     * Store for `lane` with exactly `bytes` capacity, pages for the
-     * first `prefaultBytes` already faulted in. Contents unspecified;
-     * reset per run. Lanes grow the bank on demand.
+     * A store of exactly `bytes` capacity, pages for the first
+     * `prefaultBytes` already faulted in. Contents unspecified;
+     * reset per run.
      */
     BackingStore &
-    acquire(std::size_t lane, std::size_t bytes,
-            std::size_t prefaultBytes)
+    acquire(std::size_t bytes, std::size_t prefaultBytes)
     {
-        if (lane >= slots_.size())
-            slots_.resize(lane + 1);
-        Slot &slot = slots_[lane];
-        if (!slot.store || slot.store->size() != bytes) {
-            slot.store = std::make_unique<BackingStore>(bytes);
-            slot.prefaulted = 0;
+        if (!store_ || store_->size() != bytes) {
+            store_ = std::make_unique<BackingStore>(bytes);
+            prefaulted_ = 0;
         }
-        if (prefaultBytes > slot.store->size())
-            prefaultBytes = slot.store->size();
-        if (prefaultBytes > slot.prefaulted) {
-            slot.store->prefault(prefaultBytes);
-            slot.prefaulted = prefaultBytes;
+        prefaultBytes = std::min(prefaultBytes, store_->size());
+        if (prefaultBytes > prefaulted_) {
+            store_->prefault(prefaultBytes);
+            prefaulted_ = prefaultBytes;
         }
-        return *slot.store;
+        return *store_;
     }
 
-    std::size_t lanesAllocated() const { return slots_.size(); }
+    /** Bytes of the current store already faulted in (a high-water
+     *  mark; a capacity change starts a fresh store at 0). */
+    std::size_t prefaulted() const { return prefaulted_; }
 
   private:
-    struct Slot
-    {
-        std::unique_ptr<BackingStore> store;
-        std::size_t prefaulted = 0; ///< prefault high-water mark
-    };
-
-    std::vector<Slot> slots_;
+    std::unique_ptr<BackingStore> store_;
+    std::size_t prefaulted_ = 0;
 };
 
 } // namespace nupea

@@ -1,18 +1,14 @@
 /**
  * @file
- * Shared per-node dispatch tables for the cycle-level engines.
+ * Flat per-node dispatch tables for the cycle-level Machine.
  *
  * The Machine's hot-path contract (see machine.h) requires everything
  * the scheduling loop needs about a node — opcode traits, flat port
  * bases, fanout edges with precomputed arena offsets and per-hop
  * energy, placement tile — to be resolved once, up front, into flat
- * read-only tables. Both engines consume the same tables:
- *
- *  - Machine: one table set per instance (one simulated point);
- *  - LaneMachine (machine_lanes.h): one table set shared by every
- *    lane of a batch, because a batch simulates the same compiled
- *    graph/placement under several machine configurations and the
- *    tables depend only on (graph, placement, energy params).
+ * read-only tables. Each Machine builds one table set for the point
+ * it simulates; the tables depend only on (graph, placement, energy
+ * params).
  *
  * Building the tables is a pure function of its inputs; nothing in a
  * DispatchTables is mutated after buildDispatchTables() returns.
@@ -83,7 +79,7 @@ struct DispatchTables
 /**
  * Resolve `graph` + `placement` into dispatch tables. `energy` bakes
  * the per-firing FU cost and the per-token data-NoC hop cost into the
- * rows/edges, so engines sharing one table set must run identical
+ * rows/edges, so a table set is valid only for runs under those
  * EnergyParams.
  */
 DispatchTables buildDispatchTables(const Graph &graph,

@@ -242,7 +242,7 @@ class Machine
     bool attrOn_ = false; ///< config_.stallAttribution, hot copy
 
     /** Flat per-node dispatch tables (built once, read-only; see
-     *  sim/dispatch.h — shared layout with the batched LaneMachine). */
+     *  sim/dispatch.h). */
     DispatchTables disp_;
 
     /** Operand FIFOs: one ring per (node, input port). Immediate

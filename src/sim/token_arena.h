@@ -16,15 +16,6 @@
  * Machine's per-node port base tables); all rings share one fixed
  * capacity. Overflow is a caller bug (the Machine's credit checks
  * make it unreachable) and asserts.
- *
- * The arena optionally carries a lane dimension for the batched
- * LaneMachine: init(rings, depth, lanes) sizes `rings * lanes` rings
- * in one allocation, laid out lane-major (lane L's rings occupy flat
- * indices [L * rings, (L+1) * rings)) so one lane's per-node port
- * group stays contiguous — the hot readiness probes touch adjacent
- * slots — while every lane still shares a single allocation and the
- * owner addresses ring (lane, r) as `laneBase(lane) + r`. The scalar
- * Machine is the lanes == 1 special case.
  */
 
 #ifndef NUPEA_SIM_TOKEN_ARENA_H
@@ -45,43 +36,28 @@ class TokenArena
   public:
     TokenArena() = default;
 
-    /** Size the arena: `num_lanes` lanes of `num_rings` rings of
-     *  capacity `depth` each (lane-major; see the file comment). */
+    /** Size the arena: `num_rings` rings of capacity `depth` each. */
     void
-    init(std::size_t num_rings, std::size_t depth,
-         std::size_t num_lanes = 1)
+    init(std::size_t num_rings, std::size_t depth)
     {
         NUPEA_ASSERT(depth >= 1);
-        NUPEA_ASSERT(num_lanes >= 1);
         // depth_ is a 32-bit ring coordinate; a depth that truncates
         // would wrap the head/slot arithmetic silently. Huge generated
         // shapes must fail loudly here, not corrupt slot indexing.
         NUPEA_ASSERT(depth <= 0xffffffffull,
                      "ring depth ", depth, " truncates to 32 bits");
-        std::size_t total_rings = 0;
         std::size_t total_slots = 0;
-        NUPEA_ASSERT(!__builtin_mul_overflow(num_rings, num_lanes,
-                                             &total_rings),
-                     "ring count overflows: ", num_rings, " rings x ",
-                     num_lanes, " lanes");
-        NUPEA_ASSERT(!__builtin_mul_overflow(total_rings, depth,
+        NUPEA_ASSERT(!__builtin_mul_overflow(num_rings, depth,
                                              &total_slots) &&
                          total_slots / sizeof(T) <=
                              static_cast<std::size_t>(-1) / sizeof(T),
-                     "slot count overflows: ", total_rings, " rings x ",
+                     "slot count overflows: ", num_rings, " rings x ",
                      depth, " deep");
         depth_ = static_cast<std::uint32_t>(depth);
-        lane_rings_ = total_rings == 0 ? num_rings : total_rings / num_lanes;
-        rings_.assign(total_rings, Ring{});
+        rings_.assign(num_rings, Ring{});
         // Slots are written before they are ever read (size tracks
         // occupancy), so skip the value-initializing memset.
         slots_ = std::make_unique_for_overwrite<T[]>(total_slots);
-    }
-
-    /** First flat ring index of `lane`'s ring block. */
-    std::size_t laneBase(std::size_t lane) const
-    {
-        return lane * lane_rings_;
     }
 
     std::uint32_t size(std::size_t ring) const { return rings_[ring].size; }
@@ -121,29 +97,6 @@ class TokenArena
         ++r.size;
     }
 
-    /** Occupancy transitions of a fused push (mirror upkeep). */
-    struct PushState
-    {
-        bool wasEmpty;
-        bool nowFull;
-    };
-
-    /** push() that also reports the ring's occupancy transitions in
-     *  the same Ring access — the empty/push/full probe triple the
-     *  LaneMachine's emit path would otherwise pay separately. */
-    PushState
-    pushEx(std::size_t ring, const T &value)
-    {
-        Ring &r = rings_[ring];
-        NUPEA_ASSERT(r.size < depth_, "ring overflow");
-        std::uint32_t slot = r.head + r.size;
-        if (slot >= depth_)
-            slot -= depth_;
-        slots_[ring * depth_ + slot] = value;
-        ++r.size;
-        return PushState{r.size == 1, r.size == depth_};
-    }
-
     /** Drop the oldest element (ring must be non-empty). */
     void
     pop(std::size_t ring)
@@ -155,30 +108,6 @@ class TokenArena
         --r.size;
     }
 
-    /** Result of a fused pop: whether the ring was at capacity, and
-     *  the new front (nullptr when the pop emptied the ring). */
-    struct PopState
-    {
-        const T *next;
-        bool wasFull;
-    };
-
-    /** pop() that reports the freed-credit transition and the new
-     *  front in one Ring access (the full/pop/peek triple fused). */
-    PopState
-    popEx(std::size_t ring)
-    {
-        Ring &r = rings_[ring];
-        NUPEA_ASSERT(r.size > 0);
-        const bool was_full = r.size == depth_;
-        if (++r.head == depth_)
-            r.head = 0;
-        --r.size;
-        return PopState{
-            r.size == 0 ? nullptr : &slots_[ring * depth_ + r.head],
-            was_full};
-    }
-
   private:
     struct Ring
     {
@@ -187,7 +116,6 @@ class TokenArena
     };
 
     std::uint32_t depth_ = 0;
-    std::size_t lane_rings_ = 0; ///< rings per lane (laneBase stride)
     std::vector<Ring> rings_;
     std::unique_ptr<T[]> slots_;
 };

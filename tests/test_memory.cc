@@ -1,8 +1,8 @@
 /**
  * @file
- * Memory substrate tests: backing store + allocator, banked cache
- * model (hits, LRU, writebacks, banking), and the analytic banked
- * memory timing model.
+ * Memory substrate tests: backing store + allocator, the recycled
+ * store, banked cache model (hits, LRU, writebacks, banking), and
+ * the analytic banked memory timing model.
  */
 
 #include <gtest/gtest.h>
@@ -59,6 +59,29 @@ TEST(BackingStore, AllocWords)
     Addr a = store.allocWords(16);
     Addr b = store.allocWords(1);
     EXPECT_EQ(b - a, 64u);
+}
+
+TEST(RecycledStore, RecyclesUntilCapacityChanges)
+{
+    RecycledStore recycled;
+    BackingStore &first = recycled.acquire(1 << 16, 8192);
+    EXPECT_EQ(first.size(), 1u << 16);
+    EXPECT_EQ(recycled.prefaulted(), 8192u);
+
+    // Same capacity: the same store comes back, and the prefault
+    // high-water mark never shrinks (it only grows, up to capacity).
+    EXPECT_EQ(&recycled.acquire(1 << 16, 4096), &first);
+    EXPECT_EQ(recycled.prefaulted(), 8192u);
+    EXPECT_EQ(&recycled.acquire(1 << 16, 16384), &first);
+    EXPECT_EQ(recycled.prefaulted(), 16384u);
+    recycled.acquire(1 << 16, 1 << 20);
+    EXPECT_EQ(recycled.prefaulted(), 1u << 16);
+
+    // A capacity change reallocates and restarts the mark.
+    BackingStore &second = recycled.acquire(1 << 17, 4096);
+    EXPECT_NE(&second, &first);
+    EXPECT_EQ(second.size(), 1u << 17);
+    EXPECT_EQ(recycled.prefaulted(), 4096u);
 }
 
 TEST(Cache, MissThenHit)
